@@ -8,15 +8,15 @@ use geostream::PersistError;
 pub enum LatestError {
     /// The configuration failed validation.
     Config(ConfigError),
-    /// The pipeline backing this handle has been shut down; no further
-    /// queries can be answered consistently with the stream.
+    /// A shard worker has stopped, so the engine can no longer answer
+    /// consistently with the stream.
     PipelineShutDown,
-    /// A non-blocking call found the instance locked by another thread.
+    /// A non-blocking call found that a shard queue lacks room for it;
+    /// nothing was enqueued, so the caller may retry or shed the work.
     WouldBlock,
-    /// The OS refused to spawn a pipeline thread (resource exhaustion).
+    /// The OS refused to spawn a worker thread (resource exhaustion).
     Spawn {
-        /// Which pipeline thread failed (`"latest-producer"` /
-        /// `"latest-ingestor"`).
+        /// Which thread failed (`"latest-shard"`, a shard worker).
         thread: &'static str,
         /// The OS error text.
         reason: String,
@@ -31,12 +31,12 @@ impl std::fmt::Display for LatestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LatestError::Config(e) => write!(f, "invalid configuration: {e}"),
-            LatestError::PipelineShutDown => write!(f, "pipeline has shut down"),
+            LatestError::PipelineShutDown => write!(f, "a shard worker has stopped"),
             LatestError::WouldBlock => {
-                write!(f, "instance is busy; non-blocking call would block")
+                write!(f, "a shard queue is busy; non-blocking call would block")
             }
             LatestError::Spawn { thread, reason } => {
-                write!(f, "failed to spawn pipeline thread `{thread}`: {reason}")
+                write!(f, "failed to spawn worker thread `{thread}`: {reason}")
             }
             LatestError::Persist(e) => write!(f, "snapshot persistence failed: {e}"),
         }
@@ -78,9 +78,9 @@ mod tests {
         assert!(LatestError::PipelineShutDown.source().is_none());
         assert!(LatestError::WouldBlock.to_string().contains("busy"));
         let spawn = LatestError::Spawn {
-            thread: "latest-producer",
+            thread: "latest-shard",
             reason: "out of threads".into(),
         };
-        assert!(spawn.to_string().contains("latest-producer"));
+        assert!(spawn.to_string().contains("latest-shard"));
     }
 }

@@ -27,7 +27,6 @@
 
 pub mod adaptor;
 pub mod cache;
-pub mod concurrent;
 pub mod config;
 pub mod error;
 pub mod features;
@@ -41,7 +40,6 @@ pub mod system;
 
 pub use adaptor::Recommender;
 pub use cache::{CachedAnswer, SelectivityCache};
-pub use concurrent::{SharedLatest, SnapshotScraper, StreamPipeline};
 pub use config::{ConfigError, LatestConfigBuilder};
 pub use error::LatestError;
 pub use features::{QueryProfile, RewardScaler};
@@ -53,9 +51,7 @@ pub use obsv::{
 };
 pub use persist::{MANIFEST_MAGIC, SNAPSHOT_MAGIC};
 pub use pool::{BuiltPrefill, EstimatorPool, PrefillBuilder, PrefillTicket};
-pub use shard::{
-    RouterPolicy, ServingEngine, ShardConfig, ShardRouter, ShardedLatest, Ticket, MAX_SHARDS,
-};
+pub use shard::{RouterPolicy, ShardConfig, ShardRouter, ShardedLatest, MAX_SHARDS};
 pub use system::{AblationConfig, Latest, LatestConfig, QueryOptions, QueryOutcome, ServedBy};
 
 /// Estimation accuracy of an estimate vs. the logged actual selectivity:

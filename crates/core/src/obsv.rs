@@ -33,13 +33,12 @@
 //! budgeted under the `virtual-clock` lint rule rather than silently
 //! exempted.
 
-use crate::concurrent::lock;
 use crate::log::PhaseTag;
 use estimators::EstimatorKind;
 use geostream::Timestamp;
 pub use geostream::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Bucket bounds (microseconds) for wall-clock latency histograms: sub-µs
@@ -237,6 +236,13 @@ impl LifecycleEvent {
             ),
         }
     }
+}
+
+/// Locks `m`, ignoring poisoning: a panic on another holder's thread
+/// surfaces when that thread is joined, so the lock itself does not
+/// repeat it to every later caller.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A bounded ring of recent [`LifecycleEvent`]s.

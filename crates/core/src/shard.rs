@@ -1,12 +1,14 @@
 //! Sharded multi-core serving: scatter-gather query routing over a
-//! partitioned stream (ROADMAP item 1: "serve millions of users").
+//! partitioned stream.
 //!
-//! A single [`Latest`] behind a mutex caps the serving path at one core.
-//! This module partitions the stream across `N` independent shards — each
-//! owning its *own* [`SlidingWindow`](geostream::SlidingWindow), exact
-//! executor, estimator pool, adaptor, and selectivity cache — with each
-//! shard running on a dedicated worker thread behind a bounded ingest
-//! queue:
+//! [`ShardedLatest`] is the one concurrent LATEST type; [`Latest`] is the
+//! single-owner core it wraps. The engine partitions the stream across
+//! `N ≥ 1` independent shards — each owning its *own*
+//! [`SlidingWindow`](geostream::SlidingWindow), exact executor, estimator
+//! pool, adaptor, and selectivity cache — with each shard running on a
+//! dedicated worker thread behind a bounded command queue. Every method
+//! takes `&self`, so producer and client threads share one
+//! `Arc<ShardedLatest>` directly:
 //!
 //! * [`ShardRouter`] — the pluggable partitioning policy
 //!   ([`RouterPolicy::HashOid`]: FNV-hash of the object id;
@@ -19,10 +21,10 @@
 //!   sub-batch ends early), scatter-gather [`ShardedLatest::query_batch`]
 //!   that merges per-shard counts into one [`QueryOutcome`], and
 //!   [`MetricsSnapshot`] aggregation across shards.
-//! * [`ServingEngine`] — a zero-dependency thread-pool front door:
-//!   [`ServingEngine::submit`] enqueues a query batch and returns a
-//!   [`Ticket`]; a full queue surfaces [`LatestError::WouldBlock`] —
-//!   nothing is ever silently dropped.
+//! * **Backpressure** — [`ShardedLatest::try_ingest_batch`] and
+//!   [`QueryOptions::blocking`]`(false)` refuse with
+//!   [`LatestError::WouldBlock`] when a shard queue lacks room, so callers
+//!   shed load explicitly and nothing is ever silently dropped.
 //!
 //! With one shard the engine degenerates to a plain [`Latest`] on a
 //! worker thread: the same ingest batches in the same order, no extra
@@ -39,15 +41,13 @@
 //! bounds, generation monotonicity, parked candidates — alongside the
 //! cross-shard ownership invariants.
 
-use crate::concurrent::lock;
 use crate::error::LatestError;
 use crate::obsv::MetricsSnapshot;
 use crate::system::{Latest, LatestConfig, QueryOptions, QueryOutcome};
 use geostream::{GeoTextObject, RcDvq, Rect, Timestamp};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Upper bound on the configured shard count: far above any realistic
@@ -633,23 +633,6 @@ impl ShardedLatest {
         merged.ok_or(LatestError::PipelineShutDown)
     }
 
-    /// Spawns a periodic metrics scraper over the merged engine snapshot
-    /// (the sharded counterpart of
-    /// [`StreamPipeline::spawn_scraper`](crate::StreamPipeline::spawn_scraper)).
-    /// The scraper stops on its own once the engine is dropped.
-    pub fn spawn_scraper(
-        self: &Arc<Self>,
-        every: std::time::Duration,
-        capacity: usize,
-    ) -> Result<crate::concurrent::SnapshotScraper, LatestError> {
-        let engine = Arc::downgrade(self);
-        crate::concurrent::SnapshotScraper::spawn_source(
-            move || engine.upgrade().and_then(|e| e.metrics_snapshot().ok()),
-            every,
-            capacity,
-        )
-    }
-
     /// Writes a crash-consistent snapshot of the whole engine into `dir`:
     /// one `shard-<i>.snap` file per shard (each a full [`Latest`]
     /// snapshot) stitched together by a `manifest.snap` keyed by the
@@ -908,177 +891,6 @@ fn merge_outcomes(parts: Vec<QueryOutcome>) -> Option<QueryOutcome> {
     Some(merged)
 }
 
-/// An opaque handle to a submitted [`ServingEngine`] job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-impl Ticket {
-    /// The job's engine-unique id.
-    pub fn id(self) -> u64 {
-        self.0
-    }
-}
-
-/// One submitted query batch awaiting a serving worker.
-struct Job {
-    ticket: u64,
-    queries: Vec<RcDvq>,
-    options: QueryOptions,
-}
-
-/// Completed results, keyed by ticket id, plus the wakeup for blocking
-/// waiters.
-struct EngineState {
-    done: Mutex<HashMap<u64, Result<Vec<QueryOutcome>, LatestError>>>,
-    ready: Condvar,
-}
-
-/// A zero-dependency thread-pool front door over a [`ShardedLatest`]:
-/// callers [`submit`](ServingEngine::submit) query batches onto a bounded
-/// job queue and later [`poll`](ServingEngine::poll) or
-/// [`wait`](ServingEngine::wait) on the returned [`Ticket`]. A full queue
-/// surfaces [`LatestError::WouldBlock`] at submit time — backpressure is
-/// the caller's signal, and no accepted job is ever dropped.
-pub struct ServingEngine {
-    jobs: Option<SyncSender<Job>>,
-    state: Arc<EngineState>,
-    next_ticket: AtomicU64,
-    workers: Vec<JoinHandle<u64>>,
-}
-
-impl ServingEngine {
-    /// Spawns `workers` serving threads (at least one) over `engine`,
-    /// with a job queue bounded at `queue_capacity`.
-    pub fn new(
-        engine: Arc<ShardedLatest>,
-        workers: usize,
-        queue_capacity: usize,
-    ) -> Result<Self, LatestError> {
-        // CONC(serving-tickets/serving-jobs): bounded job queue shared by
-        // all workers; try_send gives callers backpressure
-        let (job_tx, job_rx) = sync_channel::<Job>(queue_capacity.max(1));
-        // CONC(serving-tickets/serving-job-rx): the workers share the one
-        // receiver; held only for the recv, never while a job runs
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let state = Arc::new(EngineState {
-            // CONC(serving-tickets/serving-done-map): guards finished
-            // results; always paired with the ready condvar
-            done: Mutex::new(HashMap::new()),
-            // CONC(serving-tickets/serving-ready-cv): wakes waiters after a
-            // result lands in the done map under the lock
-            ready: Condvar::new(),
-        });
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for i in 0..workers.max(1) {
-            let rx = Arc::clone(&job_rx);
-            let engine = Arc::clone(&engine);
-            let state = Arc::clone(&state);
-            // CONC(serving-tickets/serving-worker): joined by shutdown/Drop
-            // after the job sender is dropped
-            let handle = std::thread::Builder::new()
-                .name(format!("latest-serving-{i}"))
-                .spawn(move || {
-                    let mut served = 0u64;
-                    loop {
-                        // Bind the job in its own statement so the receiver
-                        // guard drops before the query runs; otherwise the
-                        // workers would run one at a time.
-                        let next = lock(&rx).recv();
-                        let Ok(job) = next else {
-                            return served;
-                        };
-                        let result = engine.query_batch(&job.queries, job.options);
-                        served += 1;
-                        lock(&state.done).insert(job.ticket, result);
-                        state.ready.notify_all();
-                    }
-                })
-                .map_err(|e| LatestError::Spawn {
-                    thread: "latest-serving",
-                    reason: e.to_string(),
-                })?;
-            handles.push(handle);
-        }
-        Ok(ServingEngine {
-            jobs: Some(job_tx),
-            state,
-            next_ticket: AtomicU64::new(0),
-            workers: handles,
-        })
-    }
-
-    /// Submits a query batch for asynchronous execution. Fails with
-    /// [`LatestError::WouldBlock`] when the job queue is full (the batch
-    /// is NOT enqueued — retry later) and
-    /// [`LatestError::PipelineShutDown`] once the engine stopped.
-    pub fn submit(
-        &self,
-        queries: Vec<RcDvq>,
-        options: QueryOptions,
-    ) -> Result<Ticket, LatestError> {
-        let jobs = self.jobs.as_ref().ok_or(LatestError::PipelineShutDown)?;
-        // Relaxed ordering: ticket ids only need to be unique; the job
-        // channel orders the actual work.
-        // CONC(serving-tickets/serving-ticket-ids): uniqueness only; the job
-        // channel provides the ordering edge
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        match jobs.try_send(Job {
-            ticket,
-            queries,
-            options,
-        }) {
-            Ok(()) => Ok(Ticket(ticket)),
-            Err(TrySendError::Full(_)) => Err(LatestError::WouldBlock),
-            Err(TrySendError::Disconnected(_)) => Err(LatestError::PipelineShutDown),
-        }
-    }
-
-    /// Takes the result of a completed job, or `None` while it is still
-    /// queued or running. A completed ticket yields its result exactly
-    /// once.
-    pub fn poll(&self, ticket: Ticket) -> Option<Result<Vec<QueryOutcome>, LatestError>> {
-        lock(&self.state.done).remove(&ticket.0)
-    }
-
-    /// Blocks until the job completes and takes its result.
-    pub fn wait(&self, ticket: Ticket) -> Result<Vec<QueryOutcome>, LatestError> {
-        let mut done = lock(&self.state.done);
-        loop {
-            if let Some(result) = done.remove(&ticket.0) {
-                return result;
-            }
-            done = self
-                .state
-                .ready
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn stop(&mut self) -> u64 {
-        drop(self.jobs.take());
-        let mut served = 0u64;
-        for worker in self.workers.drain(..) {
-            served += worker.join().unwrap_or(0);
-        }
-        // Wake any waiter stuck on a ticket that can no longer complete.
-        self.state.ready.notify_all();
-        served
-    }
-
-    /// Stops the serving workers after they drain the accepted jobs, and
-    /// returns how many jobs were served.
-    pub fn shutdown(mut self) -> u64 {
-        self.stop()
-    }
-}
-
-impl Drop for ServingEngine {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1325,82 +1137,12 @@ mod tests {
         assert!(merge_outcomes(Vec::new()).is_none());
     }
 
-    #[test]
-    fn serving_engine_submit_poll_wait_and_backpressure() {
-        let engine = Arc::new(ShardedLatest::new(config(2, RouterPolicy::HashOid)).expect("spawn"));
-        let dataset = DatasetSpec::twitter();
-        let mut gen = dataset.generator();
-        let batch: Vec<_> = (0..1_000).map(|_| gen.next_object()).collect();
-        engine.ingest_batch(&batch).expect("live");
-        engine.flush().expect("live");
-        let serving = ServingEngine::new(Arc::clone(&engine), 1, 1).expect("spawn");
-        let q = vec![RcDvq::keyword(vec![KeywordId(1)])];
-        // Park the worker indirectly: park both shard workers so the one
-        // serving thread blocks inside query_batch.
-        let mut holds = Vec::new();
-        for s in &engine.queues {
-            let (hold_tx, hold_rx) = sync_channel::<()>(1);
-            s.send(ShardCmd::Run(Box::new(move |_| {
-                let _ = hold_rx.recv();
-            })))
-            .expect("live");
-            holds.push(hold_tx);
-        }
-        let t1 = serving.submit(q.clone(), QueryOptions::new()).expect("t1");
-        // The queue of 1 takes t2 only once the worker picked t1 up.
-        let t2 = loop {
-            match serving.submit(q.clone(), QueryOptions::new()) {
-                Ok(t) => break t,
-                Err(LatestError::WouldBlock) => std::thread::yield_now(),
-                Err(e) => panic!("t2: {e}"),
-            }
-        };
-        assert_eq!(
-            serving.submit(q.clone(), QueryOptions::new()).unwrap_err(),
-            LatestError::WouldBlock
-        );
-        assert!(serving.poll(t1).is_none(), "t1 cannot finish while parked");
-        for h in holds {
-            h.send(()).expect("worker parked");
-        }
-        let r1 = serving.wait(t1).expect("t1 completes");
-        assert_eq!(r1.len(), 1);
-        let r2 = serving.wait(t2).expect("t2 completes");
-        assert_eq!(r2.len(), 1);
-        assert_eq!(serving.shutdown(), 2);
-    }
-
-    #[test]
-    fn scraper_snapshots_merge_across_shards() {
-        let engine = Arc::new(ShardedLatest::new(config(2, RouterPolicy::HashOid)).expect("spawn"));
-        let scraper = engine
-            .spawn_scraper(std::time::Duration::from_millis(5), 16)
-            .expect("scraper spawns");
-        let dataset = DatasetSpec::twitter();
-        let mut gen = dataset.generator();
-        let batch: Vec<_> = (0..500).map(|_| gen.next_object()).collect();
-        engine.ingest_batch(&batch).expect("live");
-        engine.flush().expect("live");
-        // Wait for a post-ingest scrape tick.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            if let Some(snap) = scraper.latest() {
-                if snap.window.ingested == 500 {
-                    break;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "no merged snapshot");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        scraper.stop();
-    }
-
     /// Miri-sized exercise of the shard command FIFO (the `fifo_` prefix
     /// is the CI miri filter): one small ingest, a flush barrier, a
     /// fanned-out query with its reply rendezvous, a snapshot gather, and
     /// the shutdown/join path — every channel in the
-    /// `shard-command-fifo` protocol — with no timers, scrapers, or
-    /// generator entropy, so the interpreter finishes in seconds.
+    /// `shard-command-fifo` protocol — with no timers or generator
+    /// entropy, so the interpreter finishes in seconds.
     #[test]
     fn fifo_commands_round_trip_under_miri() {
         let engine = ShardedLatest::new(config(2, RouterPolicy::HashOid)).expect("spawn");

@@ -171,11 +171,10 @@ impl Default for LatestConfig {
 }
 
 /// Per-request knobs of the unified query API ([`Latest::query`],
-/// [`Latest::query_batch`], and the [`SharedLatest`] /
-/// [`StreamPipeline`] counterparts).
+/// [`Latest::query_batch`], and the [`ShardedLatest`] counterparts).
 ///
 /// The default is the common case: answer at the stream's current time,
-/// block on a contended shared instance, consult the selectivity cache,
+/// wait for room on a full shard queue, consult the selectivity cache,
 /// and serve from the estimation path.
 ///
 /// ```
@@ -188,16 +187,17 @@ impl Default for LatestConfig {
 /// assert_eq!(pinned.at, Some(Timestamp(1_000)));
 /// ```
 ///
-/// [`SharedLatest`]: crate::SharedLatest
-/// [`StreamPipeline`]: crate::StreamPipeline
+/// [`ShardedLatest`]: crate::ShardedLatest
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
     /// Stream time to answer at; `None` means the window's current time.
     pub at: Option<Timestamp>,
-    /// Whether a shared handle may block on a contended instance lock
-    /// (`false` maps contention to [`LatestError::WouldBlock`]; ignored on
-    /// an exclusive [`Latest`] borrow, which never waits).
+    /// Whether a [`ShardedLatest`] query may wait for room on a full shard
+    /// queue (`false` refuses with [`LatestError::WouldBlock`] before
+    /// anything is enqueued; ignored on an exclusive [`Latest`] borrow,
+    /// which never waits).
     ///
+    /// [`ShardedLatest`]: crate::ShardedLatest
     /// [`LatestError::WouldBlock`]: crate::LatestError::WouldBlock
     pub blocking: bool,
     /// Whether to consult (and feed) the selectivity cache. Cache hits are
@@ -243,7 +243,7 @@ impl QueryOptions {
         self
     }
 
-    /// Sets whether shared handles may block on a contended instance.
+    /// Sets whether a sharded query may wait for room on a full shard queue.
     #[must_use = "builder methods move the options; reassign or chain the result"]
     pub fn blocking(mut self, blocking: bool) -> Self {
         self.blocking = blocking;

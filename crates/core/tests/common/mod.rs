@@ -7,7 +7,7 @@ use latest_core::{LatestConfig, RouterPolicy, ShardConfig};
 
 pub fn config(shards: usize) -> LatestConfig {
     let dataset = DatasetSpec::twitter();
-    let mut b = LatestConfig::builder()
+    LatestConfig::builder()
         .window_span(Duration::from_secs(3_600))
         .warmup(Duration::from_secs(60))
         .pretrain_queries(10)
@@ -15,15 +15,14 @@ pub fn config(shards: usize) -> LatestConfig {
             domain: dataset.domain,
             reservoir_capacity: 500,
             ..EstimatorConfig::default()
-        });
-    if shards > 1 {
-        b = b.shard(ShardConfig {
+        })
+        .shard(ShardConfig {
             shards,
             queue_capacity: 1_024,
             router: RouterPolicy::HashOid,
-        });
-    }
-    b.build().expect("valid test config")
+        })
+        .build()
+        .expect("valid test config")
 }
 
 pub fn objects(start: u64, n: u64) -> Vec<GeoTextObject> {

@@ -27,7 +27,7 @@ use geostream::synth::DatasetSpec;
 use geostream::{Duration, GeoTextObject, KeywordId, PersistError, Point, RcDvq, Rect, Timestamp};
 use latest_core::{
     Latest, LatestConfig, LatestError, PhaseTag, QueryOptions, RouterPolicy, ServedBy, ShardConfig,
-    ShardedLatest, StreamPipeline, SNAPSHOT_MAGIC,
+    ShardedLatest, SNAPSHOT_MAGIC,
 };
 
 /// A process-unique scratch path (no tempdir crate; plain std).
@@ -432,34 +432,35 @@ fn sharded_restore_rejects_corruption_and_missing_manifest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An engine restored from snapshot re-enters the concurrent serving path
-/// via [`StreamPipeline::resume`] with its learned state intact.
+/// An engine restored from snapshot keeps serving the live stream where the
+/// saved one stopped, with its learned state intact.
 #[test]
 fn pipeline_resume_continues_from_a_snapshot() {
     let config = small_config();
     let mut original = Latest::new(config.clone());
-    drive_to(&mut original, PhaseTag::Incremental, 0);
+    let mut at = drive_to(&mut original, PhaseTag::Incremental, 0);
     let switches_before = original.log().switches.len();
     let path = scratch("resume.snap");
     original.save_snapshot(&path).expect("save");
 
-    let restored = Latest::load_snapshot(config, &path).expect("load");
+    let mut restored = Latest::load_snapshot(config, &path).expect("load");
+    // No warm-up re-entry: the restored engine answers from the incremental
+    // phase immediately, with the pre-crash log still attached.
     assert_eq!(restored.phase(), PhaseTag::Incremental);
-    let pipeline = StreamPipeline::resume(restored, DatasetSpec::twitter().generator(), 1_024)
-        .expect("resume");
-    // No warm-up re-entry: the pipeline answers from the incremental phase
-    // immediately, with the pre-crash log still attached.
-    assert_eq!(pipeline.handle().phase(), PhaseTag::Incremental);
-    let out = pipeline
-        .query(&RcDvq::keyword(vec![KeywordId(3)]), QueryOptions::new())
-        .expect("pipeline is live");
+    let out = restored.query(&RcDvq::keyword(vec![KeywordId(3)]), QueryOptions::new());
     assert!(out.estimate.is_finite());
     assert_eq!(
-        pipeline.handle().with(|l| l.log().switches.len()),
+        restored.log().switches.len(),
         switches_before,
         "restored log lost its switch history"
     );
-    pipeline.shutdown();
+    // The stream resumes at the next object id and stays incremental.
+    for _ in 0..4 {
+        restored.ingest_batch(&objects(at, 32));
+        at += 32;
+    }
+    assert_eq!(restored.phase(), PhaseTag::Incremental);
+    assert!(restored.window_len() > 0);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,6 +1,5 @@
 //! Thread-leak detection: every component that spawns workers
-//! (`ShardedLatest`, `ServingEngine`, `PrefillBuilder`, `StreamPipeline`)
-//! must join them on its drop path, and `Latest` must never spawn one at
+//! (`ShardedLatest`, `PrefillBuilder`) must join them on its drop path, and `Latest` must never spawn one at
 //! all. Checked by counting `/proc/self/task` entries around each
 //! component's lifetime (the `thread.*` join claims in `conc.toml`,
 //! tested for real).
@@ -10,16 +9,13 @@
 
 mod common;
 
-use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use common::{config, objects};
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
 use geostream::{KeywordId, RcDvq};
-use latest_core::{
-    Latest, PrefillBuilder, QueryOptions, ServingEngine, ShardedLatest, StreamPipeline,
-};
+use latest_core::{Latest, PrefillBuilder, QueryOptions, ShardedLatest};
 
 /// Live thread count of this process, via `/proc/self/task`. Returns
 /// `None` where procfs is unavailable (the leak checks become no-ops).
@@ -68,6 +64,11 @@ fn drops_join_every_worker_thread() {
     let baseline = live_threads().unwrap();
     {
         let engine = ShardedLatest::new(config(4)).expect("engine spawns");
+        assert_eq!(
+            live_threads().unwrap(),
+            baseline + 4,
+            "one worker per shard"
+        );
         engine.ingest_batch(&objects(0, 512)).expect("ingest");
         engine
             .query_batch(&[probe(1), probe(2)], QueryOptions::new())
@@ -83,27 +84,6 @@ fn drops_join_every_worker_thread() {
     }
     assert_no_thread_leak("ShardedLatest drop", baseline);
 
-    // ServingEngine: dropping the engine joins its serving workers even
-    // while the backing ShardedLatest stays alive.
-    let baseline = live_threads().unwrap();
-    {
-        let sharded = Arc::new(ShardedLatest::new(config(2)).expect("engine spawns"));
-        sharded.ingest_batch(&objects(0, 256)).expect("ingest");
-        let mid = live_threads().unwrap();
-        {
-            let serving = ServingEngine::new(Arc::clone(&sharded), 3, 64).expect("serving spawns");
-            let ticket = serving
-                .submit(vec![probe(3), probe(4)], QueryOptions::new())
-                .expect("submit");
-            let outcomes = serving.wait(ticket).expect("serve");
-            assert_eq!(outcomes.len(), 2);
-            drop(serving);
-        }
-        assert_no_thread_leak("ServingEngine drop", mid);
-        drop(sharded);
-    }
-    assert_no_thread_leak("ShardedLatest under ServingEngine", baseline);
-
     // PrefillBuilder: Drop closes the job queue and joins the lazily
     // spawned builder thread — even with a build still in flight.
     let baseline = live_threads().unwrap();
@@ -116,23 +96,10 @@ fn drops_join_every_worker_thread() {
         let mut builder = PrefillBuilder::new();
         let ticket = builder.submit(EstimatorKind::H4096, &cfg, objects(0, 2_000).into(), None);
         assert!(ticket.wait().is_some(), "builder delivered");
+        assert_eq!(live_threads().unwrap(), baseline + 1, "one builder thread");
         let ticket = builder.submit(EstimatorKind::Rsl, &cfg, objects(0, 4_000).into(), None);
         drop(ticket); // abandoned mid-build
         drop(builder);
     }
     assert_no_thread_leak("PrefillBuilder", baseline);
-
-    // StreamPipeline: shutdown stops producer and ingestor.
-    let baseline = live_threads().unwrap();
-    {
-        let dataset = DatasetSpec::twitter();
-        let pipeline = StreamPipeline::spawn(config(1), dataset.generator(), 1_024).expect("spawn");
-        let scraper = pipeline
-            .spawn_scraper(StdDuration::from_millis(5), 16)
-            .expect("scraper spawns");
-        std::thread::sleep(StdDuration::from_millis(20));
-        scraper.stop();
-        pipeline.shutdown();
-    }
-    assert_no_thread_leak("StreamPipeline", baseline);
 }

@@ -242,13 +242,11 @@ impl ObjectStore {
             })?;
             in_free[s] = true;
         }
-        for s in 0..n {
-            let should_be_free = !self.live[s] && self.pending_refs[s] == 0;
-            ensure(in_free[s] == should_be_free, S, "free-list", || {
-                format!(
-                    "slot {s}: live={} refs={} but free-listed={}",
-                    self.live[s], self.pending_refs[s], in_free[s]
-                )
+        let slots = self.live.iter().zip(&self.pending_refs).zip(&in_free);
+        for (s, ((&live, &refs), &free)) in slots.enumerate() {
+            let should_be_free = !live && refs == 0;
+            ensure(free == should_be_free, S, "free-list", || {
+                format!("slot {s}: live={live} refs={refs} but free-listed={free}")
             })?;
         }
         Ok(())

@@ -7,11 +7,7 @@
 //! * [`eviction`] — the `ShardedLatest` cross-shard eviction clock: relaxed
 //!   `fetch_max` watermark plus per-shard `AdvanceTo` broadcasts.
 //! * [`prefill`] — the `PrefillBuilder` cancel-flag / promotion handoff
-//!   from PR 8's zero-stall estimator switching.
-//! * [`tickets`] — the `ServingEngine` submit/poll/wait ticket state
-//!   machine (job channel + done-map mutex + condvar).
-//! * [`openflag`] — the `SharedLatest` release/acquire open-flag pair
-//!   guarding cross-thread handle reuse.
+//!   behind asynchronous estimator switching.
 //!
 //! Every module exposes `check(mutation, &Config)`: `Mutation::None` must
 //! verify exhaustively (no violation, `!truncated`), and each seeded
@@ -19,6 +15,4 @@
 //! regression suite in `tests/protocols.rs` asserts both directions.
 
 pub mod eviction;
-pub mod openflag;
 pub mod prefill;
-pub mod tickets;

@@ -51,8 +51,8 @@ impl Ctx {
 pub enum Step {
     /// Made progress; `ctx.pc` was advanced by the program itself.
     Ran,
-    /// Cannot progress now (contended lock, empty/full channel, condvar
-    /// sleep). The step must not have mutated anything.
+    /// Cannot progress now (empty or full channel). The step must not have
+    /// mutated anything.
     Blocked,
     /// Thread finished.
     Done,

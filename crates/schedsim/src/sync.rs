@@ -110,100 +110,6 @@ impl SimAtomicBool {
     pub fn store(&mut self, value: bool, ord: MemOrd, ctx: &mut Ctx) {
         self.inner.store(u64::from(value), ord, ctx);
     }
-    /// Peek without a memory-model event — for invariant checks only, never
-    /// from inside a thread program.
-    pub fn peek(&self) -> bool {
-        self.inner.value != 0
-    }
-}
-
-/// Shim mutex. Lock acquisition joins the clock the last unlocker
-/// published, so everything done under the lock is ordered.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
-pub struct SimMutex<T> {
-    data: T,
-    owner: Option<usize>,
-    clock: VClock,
-}
-
-impl<T> SimMutex<T> {
-    pub fn new(data: T) -> Self {
-        SimMutex {
-            data,
-            owner: None,
-            clock: VClock::default(),
-        }
-    }
-
-    /// Attempt to take the lock; `false` means contended (the caller's step
-    /// should return [`Step::Blocked`](crate::sim::Step::Blocked)).
-    pub fn try_lock(&mut self, ctx: &mut Ctx) -> bool {
-        if self.owner.is_some() {
-            return false;
-        }
-        self.owner = Some(ctx.id);
-        ctx.clock.join(&self.clock);
-        ctx.clock.bump(ctx.id);
-        true
-    }
-
-    pub fn unlock(&mut self, ctx: &mut Ctx) -> Result<(), String> {
-        if self.owner != Some(ctx.id) {
-            return Err(format!(
-                "thread {} unlocked a mutex it does not hold",
-                ctx.id
-            ));
-        }
-        ctx.clock.bump(ctx.id);
-        self.clock = ctx.clock;
-        self.owner = None;
-        Ok(())
-    }
-
-    /// Access the protected data; errors if the caller does not hold the
-    /// lock (a protocol bug in the model itself).
-    pub fn data(&mut self, ctx: &Ctx) -> Result<&mut T, String> {
-        if self.owner == Some(ctx.id) {
-            Ok(&mut self.data)
-        } else {
-            Err(format!(
-                "thread {} touched mutex data without holding the lock",
-                ctx.id
-            ))
-        }
-    }
-
-    /// Peek for invariant checks only (terminal states hold no locks).
-    pub fn peek(&self) -> &T {
-        &self.data
-    }
-}
-
-/// Shim condvar: a waiting set. Real happens-before comes from the paired
-/// mutex (notify itself synchronizes nothing, exactly like std).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
-pub struct SimCondvar {
-    waiting: [bool; crate::clock::MAX_THREADS],
-}
-
-impl SimCondvar {
-    /// Register the calling thread as asleep. The caller must then unlock
-    /// the paired mutex and block until [`Self::is_notified`].
-    pub fn sleep(&mut self, ctx: &Ctx) {
-        if let Some(w) = self.waiting.get_mut(ctx.id) {
-            *w = true;
-        }
-    }
-
-    /// True once some notifier has woken this thread (or it never slept).
-    pub fn is_notified(&self, ctx: &Ctx) -> bool {
-        !self.waiting.get(ctx.id).copied().unwrap_or(false)
-    }
-
-    pub fn notify_all(&mut self, ctx: &mut Ctx) {
-        ctx.clock.bump(ctx.id);
-        self.waiting = [false; crate::clock::MAX_THREADS];
-    }
 }
 
 /// Outcome of a [`SimChannel::try_send`].
@@ -386,22 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn mutex_enforces_ownership() {
-        let mut m = SimMutex::new(0u64);
-        let mut a = ctx(0);
-        let mut b = ctx(1);
-        assert!(m.try_lock(&mut a));
-        assert!(!m.try_lock(&mut b), "contended lock must refuse");
-        assert!(m.data(&b).is_err());
-        assert!(m.unlock(&mut b).is_err());
-        *m.data(&a).expect("owner can access") = 3;
-        m.unlock(&mut a).expect("owner can unlock");
-        // b acquires after a: a's critical section happens-before b's.
-        assert!(m.try_lock(&mut b));
-        assert!(a.clock.leq(&b.clock));
-    }
-
-    #[test]
     fn channel_orders_and_disconnects() {
         let mut ch: SimChannel<u32> = SimChannel::bounded(1, 1);
         let mut tx = ctx(0);
@@ -429,17 +319,5 @@ mod tests {
         r.clock.join(&w.clock);
         assert_eq!(cell.read(&mut r).expect("ordered read"), 9);
         assert_eq!(*cell.peek(), 9);
-    }
-
-    #[test]
-    fn condvar_sleep_notify() {
-        let mut cv = SimCondvar::default();
-        let sleeper = ctx(2);
-        let mut waker = ctx(0);
-        assert!(cv.is_notified(&sleeper));
-        cv.sleep(&sleeper);
-        assert!(!cv.is_notified(&sleeper));
-        cv.notify_all(&mut waker);
-        assert!(cv.is_notified(&sleeper));
     }
 }

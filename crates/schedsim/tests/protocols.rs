@@ -4,7 +4,7 @@
 //! concurrency gate (`cargo xtask conc` is the static half); CI's `conc`
 //! job runs both.
 
-use schedsim::protocols::{eviction, openflag, prefill, tickets};
+use schedsim::protocols::{eviction, prefill};
 use schedsim::sim::{Config, Stats, Violation, ViolationKind};
 
 fn cfg() -> Config {
@@ -85,41 +85,4 @@ fn prefill_promotion_before_gen_check_is_caught() {
     );
     assert_eq!(v.kind, ViolationKind::Always);
     assert!(v.message.contains("cancelled"), "{v}");
-}
-
-// --- serving tickets --------------------------------------------------------
-
-#[test]
-fn serving_tickets_verify_exhaustively() {
-    let stats = assert_proved("tickets", tickets::check(tickets::Mutation::None, &cfg()));
-    assert!(stats.states > 100, "suspiciously small search: {stats:?}");
-}
-
-#[test]
-fn tickets_dropped_notify_deadlocks_and_is_caught() {
-    let v = assert_caught(
-        "tickets/DropNotify",
-        tickets::check(tickets::Mutation::DropNotify, &cfg()),
-    );
-    assert_eq!(v.kind, ViolationKind::Deadlock);
-}
-
-// --- open flag --------------------------------------------------------------
-
-#[test]
-fn open_flag_pair_verifies_exhaustively() {
-    assert_proved(
-        "openflag",
-        openflag::check(openflag::Mutation::None, &cfg()),
-    );
-}
-
-#[test]
-fn open_flag_weakened_acquire_races_and_is_caught() {
-    let v = assert_caught(
-        "openflag/WeakenAcquireToRelaxed",
-        openflag::check(openflag::Mutation::WeakenAcquireToRelaxed, &cfg()),
-    );
-    assert_eq!(v.kind, ViolationKind::StepFail);
-    assert!(v.message.contains("data race"), "{v}");
 }

@@ -355,7 +355,7 @@ fn discover_sites(code: &str, idx: usize, out: &mut Vec<Site>) {
 
 /// True when `tok` appears as a *call* — an ident-boundary token followed
 /// by `(` or a turbofish `::<` — so `use` lists, paths like
-/// `channel::TrySendError`, and identifiers such as `spawn_scraper` never
+/// `channel::TrySendError`, and identifiers such as `spawn_worker` never
 /// match.
 fn called_token(code: &str, tok: &str) -> bool {
     let mut start = 0;

@@ -1,6 +1,7 @@
-//! Sharded serving: run LATEST across worker shards with scatter-gather
-//! queries, then front it with the [`ServingEngine`] thread pool the way
-//! a service endpoint would.
+//! Sharded serving: run LATEST the way a service would — a producer
+//! thread streams arrivals into the sharded engine while several client
+//! threads issue query batches against it, and the main thread scrapes
+//! the merged metrics as they go.
 //!
 //! ```text
 //! cargo run --release -p latest-core --example sharded_serving
@@ -9,16 +10,19 @@
 //! The stream is partitioned across four shards, each owning its own
 //! window, estimator pool, adaptor, and selectivity cache on a dedicated
 //! worker thread. Queries fan out to the shards the router says can hold
-//! matching objects and the per-shard counts merge into one answer.
+//! matching objects and the per-shard counts merge into one answer. Every
+//! engine method takes `&self`, so all threads share one
+//! `Arc<ShardedLatest>`.
 
 use estimators::EstimatorConfig;
 use geostream::synth::DatasetSpec;
 use geostream::{KeywordId, Point, RcDvq, Rect};
 use latest_core::{
-    LatestConfig, LatestError, PhaseTag, QueryOptions, RouterPolicy, ServingEngine, ShardConfig,
-    ShardedLatest,
+    LatestConfig, LatestError, PhaseTag, QueryOptions, RouterPolicy, ShardConfig, ShardedLatest,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration as StdDuration;
 
 fn main() {
     let dataset = DatasetSpec::twitter();
@@ -36,7 +40,7 @@ fn main() {
         // queries fan out everywhere.
         .shard(ShardConfig {
             shards: 4,
-            queue_capacity: 8_192,
+            queue_capacity: 256,
             router: RouterPolicy::SpatialTile,
         })
         .build()
@@ -90,52 +94,94 @@ fn main() {
     }
     println!("pre-training finished after {i} queries; serving clients…\n");
 
-    // The thread-pool front door: clients submit query batches and poll
-    // or wait for tickets. A full submission queue surfaces as
-    // `WouldBlock` — callers shed load explicitly, nothing drops
-    // silently.
-    let serving = ServingEngine::new(Arc::clone(&engine), 2, 64).expect("pool threads spawn");
-    let mut tickets = Vec::new();
-    let mut shed = 0u32;
-    for round in 0..48u32 {
-        let c = hotspots[round as usize % hotspots.len()];
-        let area = Rect::centered_clamped(c, 2.0, 1.5, &dataset.domain);
-        let batch = vec![
-            RcDvq::spatial(area),
-            RcDvq::keyword(vec![KeywordId(round % 40)]),
-            RcDvq::hybrid(area, vec![KeywordId(round % 40)]),
-        ];
-        match serving.submit(batch, QueryOptions::new()) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(LatestError::WouldBlock) => shed += 1,
-            Err(e) => panic!("serving engine failed: {e}"),
-        }
-        // Interleave fresh arrivals so the shards keep churning.
-        let arrivals: Vec<_> = (0..64).map(|_| gen.next_object()).collect();
-        engine.ingest_batch(&arrivals).expect("shards are live");
-    }
-    let mut acc_sum = 0.0;
-    let mut answered = 0usize;
-    for ticket in tickets {
-        for out in serving.wait(ticket).expect("shards are live") {
-            acc_sum += out.accuracy;
-            answered += 1;
-        }
-    }
-    println!(
-        "served {answered} queries (shed {shed} on backpressure), mean accuracy {:.3}",
-        acc_sum / answered.max(1) as f64
-    );
+    // The producer keeps the shards churning underneath the clients. The
+    // stop flag only ends its loop (the join publishes everything else),
+    // hence Relaxed ordering.
+    let stop = Arc::new(AtomicBool::new(false));
+    let producer = {
+        let engine = Arc::clone(&engine);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let batch: Vec<_> = (0..256).map(|_| gen.next_object()).collect();
+                engine.ingest_batch(&batch).expect("shards are live");
+                std::thread::sleep(StdDuration::from_millis(1));
+            }
+        })
+    };
 
-    // One merged snapshot covers the whole fleet: counters sum,
-    // histograms add bucket-wise, phase reports the least-advanced shard.
+    // Four clients submit non-blocking query batches. A full shard queue
+    // surfaces as `WouldBlock` — the client sheds that batch explicitly,
+    // nothing drops silently.
+    let mut clients = Vec::new();
+    for t in 0..4u32 {
+        let engine = Arc::clone(&engine);
+        let hotspots = hotspots.clone();
+        let domain = dataset.domain;
+        clients.push(std::thread::spawn(move || {
+            let (mut acc_sum, mut answered, mut shed) = (0.0, 0usize, 0u32);
+            for round in 0..60u32 {
+                let c = hotspots[(t + round) as usize % hotspots.len()];
+                let area = Rect::centered_clamped(c, 2.0, 1.5, &domain);
+                let kw = KeywordId((t * 53 + round) % 40);
+                let batch = [
+                    RcDvq::spatial(area),
+                    RcDvq::keyword(vec![kw]),
+                    RcDvq::hybrid(area, vec![kw]),
+                ];
+                match engine.query_batch(&batch, QueryOptions::new().blocking(false)) {
+                    Ok(outcomes) => {
+                        acc_sum += outcomes.iter().map(|o| o.accuracy).sum::<f64>();
+                        answered += outcomes.len();
+                    }
+                    Err(LatestError::WouldBlock) => shed += 1,
+                    Err(e) => panic!("engine failed: {e}"),
+                }
+            }
+            (t, acc_sum / answered.max(1) as f64, answered, shed)
+        }));
+    }
+
+    // Periodic observability scrape from the main thread. One merged
+    // snapshot covers the whole fleet: counters sum, histograms add
+    // bucket-wise, phase reports the least-advanced shard.
+    let mut scrapes = 0u32;
+    while !clients.iter().all(|c| c.is_finished()) {
+        std::thread::sleep(StdDuration::from_millis(25));
+        scrapes += 1;
+        let snap = engine.metrics_snapshot().expect("shards are live");
+        println!(
+            "scrape {scrapes}: {} queries, cache {}/{} hit/miss, {} live objects, {} ingested",
+            snap.queries_total,
+            snap.cache_hits,
+            snap.cache_misses,
+            snap.window.occupancy,
+            snap.window.ingested
+        );
+    }
+    println!();
+    for client in clients {
+        let (t, mean_acc, answered, shed) = client.join().expect("client thread panicked");
+        println!(
+            "client {t}: mean accuracy {mean_acc:.3} over {answered} queries \
+             (shed {shed} batches on backpressure)"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    producer.join().expect("producer thread panicked");
+
+    // MetricsSnapshot::to_json() gives the machine-readable form.
     let snap = engine.metrics_snapshot().expect("shards are live");
     println!(
-        "fleet totals: {} queries, {} live objects, {} ingested, {} evicted",
-        snap.queries_total, snap.window.occupancy, snap.window.ingested, snap.window.evicted
+        "\nfleet totals: {} queries, {} lifecycle events, executor path mix {}/{} \
+         (spatial/inverted), {} evicted",
+        snap.queries_total,
+        snap.events.len(),
+        snap.executor.spatial,
+        snap.executor.inverted,
+        snap.window.evicted
     );
-    let served = serving.shutdown();
-    let engine = Arc::try_unwrap(engine).expect("serving pool released its handle");
+    let engine = Arc::try_unwrap(engine).expect("every thread released its handle");
     let ingested = engine.shutdown();
-    println!("pool served {served} batches; shards ingested {ingested} objects");
+    println!("shards ingested {ingested} objects");
 }
